@@ -92,7 +92,7 @@ type report struct {
 	// from CPUs under cgroup limits or an explicit GOMAXPROCS setting,
 	// and it, not CPUs, bounds the achievable speedup.
 	GOMAXPROCS int              `json:"gomaxprocs"`
-	Workloads  []workloadReport `json:"workloads"`
+	Workloads  []workloadReport `json:"workloads,omitempty"`
 	// VarianceReduction is set by -vr invocations (which carry no
 	// throughput workloads); absent from every other report, so
 	// pre-existing trajectory entries keep loading unchanged.
@@ -206,7 +206,7 @@ func run(args []string) error {
 	serviceOut := fs.String("service-o", "BENCH_service.json", "fabric/search report file (-fabric and -search modes)")
 	searchBench := fs.Bool("search", false, "benchmark the best-response search engine against exhaustive enumeration")
 	minSavings := fs.Float64("min-savings", 10, "fail -search mode below this racing-vs-exhaustive savings ratio")
-	vrBench := fs.Bool("vr", false, "benchmark the variance-reduction estimators (control variates, CRN pairing, stratification)")
+	vrBench := fs.Bool("vr", false, "benchmark the variance-reduction estimators (control variates, CRN pairing)")
 	vrMinCV := fs.Float64("vr-min-cv", 3, "fail -vr mode below this control-variate runs-reduction ratio")
 	vrMinCRN := fs.Float64("vr-min-crn", 1.5, "fail -vr mode below this CRN paired-delta runs-reduction ratio")
 	if err := fs.Parse(args); err != nil {
@@ -219,7 +219,7 @@ func run(args []string) error {
 		return runSearchBench(*minSavings, est.Seed, *serviceOut)
 	}
 	if *vrBench {
-		return runVRBench(est.Runs, est.Seed, *vrMinCV, *vrMinCRN, *out)
+		return runVRBench(est.Seed, *vrMinCV, *vrMinCRN, *out)
 	}
 
 	cpus := runtime.NumCPU()

@@ -11,10 +11,7 @@ package main
 //   - common random numbers: the certified delta between two
 //     neighbouring 2SFE abort strategies, independently seeded versus
 //     core.WithPairedSeeds — runs to certify the delta at the target
-//     half-width, unpaired ÷ paired (floor -vr-min-crn);
-//   - post-stratification on the abort round: informational only — the
-//     half-width shrink of stats.StratifiedEstimate over the engine's
-//     core.AbortRoundTally against the pooled estimate at equal runs.
+//     half-width, unpaired ÷ paired (floor -vr-min-crn).
 //
 // Ratios are recorded as run counts, never half-width quotients: the
 // exact-residual estimator's half-width is legitimately zero and the
@@ -23,7 +20,6 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -46,16 +42,10 @@ type vrWorkload struct {
 	Technique string `json:"technique"`
 	// PlainRuns and ReducedRuns are the runs needed to reach the target
 	// half-width without and with the lever; RunsRatio is their quotient
-	// (the lever's savings). Zero when the workload is half-width-based.
+	// (the lever's savings).
 	PlainRuns   int     `json:"plain_runs,omitempty"`
 	ReducedRuns int     `json:"reduced_runs,omitempty"`
 	RunsRatio   float64 `json:"runs_ratio,omitempty"`
-	// PlainHW and ReducedHW compare half-widths at equal runs (the
-	// stratification workload); HWRatio is plain ÷ reduced, 0 when the
-	// reduced interval is degenerate.
-	PlainHW   float64 `json:"plain_half_width,omitempty"`
-	ReducedHW float64 `json:"reduced_half_width,omitempty"`
-	HWRatio   float64 `json:"half_width_ratio,omitempty"`
 	// Floor is the ratio below which the benchmark fails (0 = advisory).
 	Floor float64 `json:"floor,omitempty"`
 	OK    bool    `json:"ok"`
@@ -64,12 +54,11 @@ type vrWorkload struct {
 
 // vrReport is one -vr invocation's document.
 type vrReport struct {
-	Seed         int64        `json:"seed"`
-	TargetHW     float64      `json:"target_half_width"`
-	Workloads    []vrWorkload `json:"workloads"`
-	AllOK        bool         `json:"all_ok"`
-	ElapsedMS    float64      `json:"elapsed_ms"`
-	StratifyRuns int          `json:"stratify_runs"`
+	Seed      int64        `json:"seed"`
+	TargetHW  float64      `json:"target_half_width"`
+	Workloads []vrWorkload `json:"workloads"`
+	AllOK     bool         `json:"all_ok"`
+	ElapsedMS float64      `json:"elapsed_ms"`
 }
 
 // runsToTarget finds the smallest run count (up to a doubling cap) whose
@@ -107,15 +96,6 @@ func runsToTarget(target float64, measure func(runs int) (float64, error)) (int,
 		}
 	}
 	return hi, nil
-}
-
-// finiteOr0 keeps the report JSON-encodable: encoding/json rejects Inf
-// and NaN, and a degenerate interval is reported as 0 with a note.
-func finiteOr0(x float64) float64 {
-	if math.IsInf(x, 0) || math.IsNaN(x) {
-		return 0
-	}
-	return x
 }
 
 // vrControlVariate measures the Gordon–Katz exact-residual lever.
@@ -213,64 +193,11 @@ func vrPairedDelta(seed int64, floor float64) (vrWorkload, error) {
 	return w, nil
 }
 
-// vrStratified measures post-stratification on the abort round:
-// Gordon–Katz first-hit over uniform boolean inputs (so the abort round
-// explains part, not all, of the outcome variance), pooled half-width
-// versus the stratified reduction at the same runs. Advisory only: the
-// proportional weights are empirical here, so the mean matches the
-// pooled estimate exactly and the interval shrink is the whole story.
-func vrStratified(runs int, seed int64) (vrWorkload, error) {
-	w := vrWorkload{
-		Name: "gk-firsthit-p2-uniform", Technique: "abort-round-stratification",
-		OK: true,
-	}
-	proto, err := gordonkatz.NewPolyDomain(gordonkatz.AND(), 2)
-	if err != nil {
-		return w, err
-	}
-	gamma := core.StandardPayoff()
-	sampler := func(r *rand.Rand) []sim.Value {
-		return []sim.Value{uint64(r.Intn(2)), uint64(r.Intn(2))}
-	}
-	tally := core.NewAbortRoundTally()
-	rep, err := core.EstimateUtility(proto, gordonkatz.NewFirstHit(1), gamma,
-		sampler, runs, seed, core.WithAbortRoundStrata(tally))
-	if err != nil {
-		return w, err
-	}
-	values := []float64{gamma.Of(core.E00), gamma.Of(core.E01), gamma.Of(core.E10), gamma.Of(core.E11)}
-	total := float64(tally.Total())
-	var strata []stats.Stratum
-	for _, round := range tally.Rounds() {
-		counts := tally.Counts(round)
-		var n int64
-		for _, c := range counts {
-			n += c
-		}
-		strata = append(strata, stats.Stratum{
-			Weight: float64(n) / total,
-			Values: values,
-			Counts: counts[:],
-		})
-	}
-	est, err := stats.StratifiedEstimate(strata)
-	if err != nil {
-		return w, err
-	}
-	w.PlainHW = finiteOr0(rep.Utility.HalfWidth)
-	w.ReducedHW = finiteOr0(est.HalfWidth)
-	if w.ReducedHW > 0 && w.PlainHW > 0 {
-		w.HWRatio = w.PlainHW / w.ReducedHW
-	}
-	w.Note = fmt.Sprintf("%d strata over %d runs, proportional empirical weights", len(strata), runs)
-	return w, nil
-}
-
-// runVRBench runs the three lever workloads, appends the report to the
+// runVRBench runs the two lever workloads, appends the report to the
 // estimator trajectory, and fails when a floored ratio falls short.
-func runVRBench(stratifyRuns int, seed int64, minCV, minCRN float64, out string) error {
+func runVRBench(seed int64, minCV, minCRN float64, out string) error {
 	start := time.Now()
-	vr := vrReport{Seed: seed, TargetHW: vrTargetHW, AllOK: true, StratifyRuns: stratifyRuns}
+	vr := vrReport{Seed: seed, TargetHW: vrTargetHW, AllOK: true}
 
 	cv, err := vrControlVariate(seed, minCV)
 	if err != nil {
@@ -287,14 +214,6 @@ func runVRBench(stratifyRuns int, seed int64, minCV, minCRN float64, out string)
 	vr.Workloads = append(vr.Workloads, crn)
 	fmt.Printf("%-24s %-26s %7d plain runs %7d reduced %8.1fx (floor %g)\n",
 		crn.Name, crn.Technique, crn.PlainRuns, crn.ReducedRuns, crn.RunsRatio, crn.Floor)
-
-	strat, err := vrStratified(stratifyRuns, seed)
-	if err != nil {
-		return fmt.Errorf("vr stratification workload: %w", err)
-	}
-	vr.Workloads = append(vr.Workloads, strat)
-	fmt.Printf("%-24s %-26s hw %.5f plain vs %.5f stratified %6.2fx (advisory)\n",
-		strat.Name, strat.Technique, strat.PlainHW, strat.ReducedHW, strat.HWRatio)
 
 	for _, w := range vr.Workloads {
 		if !w.OK {

@@ -126,7 +126,6 @@ func parseSpec(args []string) (spec sweep.Spec, checkpoint string, quiet, verbos
 	slack := fs.Float64("slack", 0, "flat extra certification tolerance")
 	supSearch := fs.Bool("sup-search", false, "compute sup cells with the racing search engine (keyed \"sup-search\")")
 	vr := cliflags.RegisterVariance(fs)
-	noCompiled := fs.Bool("no-compiled-plans", false, "pin the estimator to the interpreter (debugging; records are identical)")
 	noAbort := fs.Bool("no-abort-sweep", false, "disable the abort-at-round attacker dimension")
 	cp := fs.String("checkpoint", "", "JSONL checkpoint path (resumes if the file exists)")
 	coordinator := fs.String("coordinator", "", "serve the sweep as a fabric coordinator on this listen address")
@@ -197,9 +196,6 @@ func parseSpec(args []string) (spec sweep.Spec, checkpoint string, quiet, verbos
 	}
 	if est.Given("parallel") {
 		spec.Parallelism = est.Parallel
-	}
-	if *noCompiled {
-		spec.NoCompiledPlans = true
 	}
 	if *noAbort {
 		spec.AbortSweep = false

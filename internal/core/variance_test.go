@@ -1,15 +1,14 @@
 package core_test
 
 // Engine-level tests for the variance-reduction options: control
-// variates (exact-residual estimation), common-random-numbers pairing,
-// and abort-round stratification tallies. Everything here exercises the
+// variates (exact-residual estimation) and common-random-numbers
+// pairing. Everything here exercises the
 // contract DESIGN.md §12 states: the options change coin streams or the
 // estimator, never the estimand, and with all of them off the engine is
 // untouched (the frozen byte-identity matrices in internal/sweep and
 // internal/search pin that half).
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -18,7 +17,6 @@ import (
 	"repro/internal/protocols/gordonkatz"
 	"repro/internal/protocols/twoparty"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 func uniform2(r *rand.Rand) []sim.Value {
@@ -154,87 +152,6 @@ func TestEventLogTooShort(t *testing.T) {
 		core.StandardPayoff(), uniform2, 10, 1, core.WithEventLog(log))
 	if err == nil {
 		t.Fatal("expected an error for a short event log")
-	}
-}
-
-// TestAbortRoundStrataTally: the tally must partition exactly the
-// estimation's runs by reported abort round — a fixed-round aborter
-// lands every run in its round's stratum, and a strategy without the
-// RoundAborter capability (sim.Passive) lands everything in stratum 0.
-func TestAbortRoundStrataTally(t *testing.T) {
-	proto := twoparty.New(twoparty.Swap())
-	const runs = 120
-	tally := core.NewAbortRoundTally()
-	rep, err := core.EstimateUtility(proto, adversary.NewAbortAt(2, 1), core.StandardPayoff(),
-		uniform2, runs, 9, core.WithAbortRoundStrata(tally), core.WithParallelism(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tally.Total(); got != runs {
-		t.Fatalf("tally holds %d runs, want %d", got, runs)
-	}
-	rounds := tally.Rounds()
-	if len(rounds) != 1 || rounds[0] != 2 {
-		t.Fatalf("abort-at-2 strata rounds %v, want [2]", rounds)
-	}
-	counts := tally.Counts(2)
-	for i, e := range core.Events() {
-		if want := rep.EventFreq[e] * runs; math.Abs(float64(counts[i])-want) > 1e-9 {
-			t.Errorf("stratum 2 event %v count %d, want %g", e, counts[i], want)
-		}
-	}
-
-	passive := core.NewAbortRoundTally()
-	if _, err := core.EstimateUtility(proto, sim.Passive{}, core.StandardPayoff(),
-		uniform2, 40, 9, core.WithAbortRoundStrata(passive)); err != nil {
-		t.Fatal(err)
-	}
-	if rounds := passive.Rounds(); len(rounds) != 1 || rounds[0] != 0 {
-		t.Errorf("capability-less strategy strata rounds %v, want [0]", rounds)
-	}
-}
-
-// TestAbortRoundStrataReduce closes the loop with stats: reducing a
-// first-hit tally through StratifiedEstimate with proportional
-// empirical weights reproduces the pooled mean (the post-stratification
-// identity), on a workload whose abort round actually varies.
-func TestAbortRoundStrataReduce(t *testing.T) {
-	proto, err := gordonkatz.NewPolyDomain(gordonkatz.AND(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gamma := core.StandardPayoff()
-	const runs = 400
-	tally := core.NewAbortRoundTally()
-	rep, err := core.EstimateUtility(proto, gordonkatz.NewFirstHit(1), gamma,
-		core.FixedInputs(uint64(1), uint64(1)), runs, 11, core.WithAbortRoundStrata(tally))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rounds := tally.Rounds()
-	if len(rounds) < 2 {
-		t.Fatalf("first-hit strata rounds %v, want at least two strata", rounds)
-	}
-	values := []float64{gamma.Of(core.E00), gamma.Of(core.E01), gamma.Of(core.E10), gamma.Of(core.E11)}
-	var strata []stats.Stratum
-	for _, round := range rounds {
-		c := tally.Counts(round)
-		var n int64
-		for _, v := range c {
-			n += v
-		}
-		strata = append(strata, stats.Stratum{
-			Weight: float64(n) / float64(runs),
-			Values: values,
-			Counts: c[:],
-		})
-	}
-	est, err := stats.StratifiedEstimate(strata)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(est.Mean-rep.Utility.Mean) > 1e-12 {
-		t.Errorf("stratified mean %v != pooled mean %v", est.Mean, rep.Utility.Mean)
 	}
 }
 

@@ -92,8 +92,6 @@ type Options struct {
 	Parallelism int
 	// BatchSize is the estimator batch size (<= 0 selects the default).
 	BatchSize int
-	// NoCompiledPlans disables compiled execution plans (debugging only).
-	NoCompiledPlans bool
 	// Checkpoint, when non-empty, streams the record sequence to this
 	// JSONL file. If the file already exists it is resumed: completed
 	// records replay (their measured counts substitute for simulation)
@@ -430,9 +428,6 @@ func (e *engine) estimate(a *arm, runs int, seed int64, extra ...core.Option) ([
 	}
 	if e.o.BatchSize > 0 {
 		opts = append(opts, core.WithBatchSize(e.o.BatchSize))
-	}
-	if e.o.NoCompiledPlans {
-		opts = append(opts, core.WithCompiledPlans(false))
 	}
 	opts = append(opts, extra...)
 	rep, err := core.EstimateUtility(e.proto, a.adv, e.gamma, e.sampler, runs, seed, opts...)

@@ -141,7 +141,7 @@ func (p SupParams) paramString() string {
 func (p SupParams) seed() int64 { return p.Seed }
 
 // SweepParams wraps a sweep.Spec as a job. The spec's scheduling knobs
-// (Parallelism, BatchSize, NoCompiledPlans) are excluded from the cache
+// (Parallelism, BatchSize) are excluded from the cache
 // key — the sweep documents that they never change any record.
 type SweepParams struct {
 	Spec sweep.Spec `json:"spec"`

@@ -94,11 +94,6 @@ type Spec struct {
 	Parallelism int
 	// BatchSize is the estimator batch size (0 = default).
 	BatchSize int
-	// NoCompiledPlans disables the estimator's compiled execution plans
-	// (core.WithCompiledPlans), pinning every cell to the interpreter.
-	// Like Parallelism it never changes any record — compiled runs are
-	// bit-identical — so it exists only for engine debugging.
-	NoCompiledPlans bool
 
 	// PairedSeeds switches every cell to common-random-numbers run
 	// seeding (core.WithPairedSeeds): run i of every cell draws its coins
@@ -598,9 +593,6 @@ func (s *Sweep) runCell(c Cell, eventLog []core.Event) (Record, error) {
 	if s.Spec.BatchSize > 0 {
 		opts = append(opts, core.WithBatchSize(s.Spec.BatchSize))
 	}
-	if s.Spec.NoCompiledPlans {
-		opts = append(opts, core.WithCompiledPlans(false))
-	}
 	if s.Spec.PairedSeeds {
 		opts = append(opts, core.WithPairedSeeds(s.pairedMaster))
 	}
@@ -634,9 +626,8 @@ func (s *Sweep) runCell(c Cell, eventLog []core.Event) (Record, error) {
 		// while racing spends at most c.Runs per eliminated rival.
 		so := search.Options{
 			RaceRuns: c.Runs, FinalRuns: c.Runs,
-			Parallelism:     s.Spec.Parallelism,
-			BatchSize:       s.Spec.BatchSize,
-			NoCompiledPlans: s.Spec.NoCompiledPlans,
+			Parallelism: s.Spec.Parallelism,
+			BatchSize:   s.Spec.BatchSize,
 		}
 		srep, err := search.Run(proto, core.SliceSpace(buildSpace(c, proto)), c.Gamma, sampler, c.Seed, so)
 		if err != nil {
@@ -701,12 +692,10 @@ func (s *Sweep) runCell(c Cell, eventLog []core.Event) (Record, error) {
 	if c.Family == "gk" {
 		iters := proto.NumRounds() / 2
 		// Wilson score certification of the raw fairness-failure
-		// frequency Pr[E10] against the 1/p ceiling (Theorems 23/24).
+		// frequency Pr[E10] against the 1/p ceiling (Theorems 23/24),
+		// widened to the sweep's union-bound budget δ′.
 		e10 := int64(math.Round(rec.Events[2] * float64(c.Runs)))
-		lo, _, werr := stats.WilsonInterval(e10, int64(c.Runs))
-		if werr != nil {
-			return Record{}, fmt.Errorf("sweep: cell %s: %w", c.Key, werr)
-		}
+		lo, _ := stats.WilsonScore(float64(e10)/float64(c.Runs), int64(c.Runs), stats.ZQuantile(s.deltaPrime))
 		addCheck(Check{
 			Name: "gk-e10-wilson", Dir: "<=", Bound: 1 / float64(c.P),
 			Value: rec.Events[2], Margin: rec.Events[2] - lo,

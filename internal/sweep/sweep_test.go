@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/stats"
 )
 
 // smokeSpec is a small but family-complete grid: every family, two γ
@@ -374,5 +376,39 @@ func TestBreachDetection(t *testing.T) {
 		if br.OK {
 			t.Error("breach record marked OK")
 		}
+	}
+}
+
+// TestGKWilsonUsesUnionBound pins the Gordon–Katz E10 check to the
+// sweep's union-bound budget: every gk-e10-wilson margin must be the
+// observed frequency minus the Wilson lower bound at ZQuantile(δ′),
+// δ′ = Delta/TotalChecks, not at the fixed 95% quantile.
+func TestGKWilsonUsesUnionBound(t *testing.T) {
+	sw, err := Plan(frozenSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := Run(frozenSpec(), "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	z := stats.ZQuantile(sw.deltaPrime)
+	var checked int
+	for _, rec := range sum.Records {
+		for _, ck := range rec.Checks {
+			if ck.Name != "gk-e10-wilson" {
+				continue
+			}
+			checked++
+			e10 := math.Round(rec.Events[2] * float64(rec.Runs))
+			lo, _ := stats.WilsonScore(e10/float64(rec.Runs), int64(rec.Runs), z)
+			if want := rec.Events[2] - lo; math.Abs(ck.Margin-want) > 1e-12 {
+				t.Errorf("%s: gk-e10-wilson margin %v, want %v (Wilson at z=%.4f for δ′=%g)",
+					rec.Key, ck.Margin, want, z, sw.deltaPrime)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("frozen grid produced no gk-e10-wilson checks")
 	}
 }

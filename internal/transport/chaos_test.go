@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -370,9 +371,9 @@ func TestDialRetryBounded(t *testing.T) {
 	addr := ln.Addr().String()
 	_ = ln.Close()
 
-	cfg := SessionConfig{RoundTimeout: chaosTimeout, DialTimeout: 100 * time.Millisecond, DialAttempts: 3}.withDefaults()
-	c := newClientPeer(addr, 1, 2, cfg)
-	if err := c.connect(); err == nil {
+	cfg := SessionConfig{RoundTimeout: chaosTimeout, DialTimeout: 100 * time.Millisecond, DialAttempts: 3}
+	c := newClientEnd(addr, 1, cfg.link(0))
+	if err := c.hello(); err == nil {
 		t.Fatal("connect to dead address succeeded")
 	} else if !strings.Contains(err.Error(), "after 3 attempts") {
 		t.Errorf("connect error %q does not report the attempt budget", err)
@@ -414,9 +415,9 @@ func TestDialRetryConnectsToLateListener(t *testing.T) {
 		served <- enc.Encode(frame{Kind: kindWelcome, Token: 7})
 	}()
 
-	cfg := SessionConfig{RoundTimeout: chaosTimeout, DialTimeout: 100 * time.Millisecond, DialAttempts: 6}.withDefaults()
-	c := newClientPeer(addr, 1, 2, cfg)
-	if err := c.connect(); err != nil {
+	cfg := SessionConfig{RoundTimeout: chaosTimeout, DialTimeout: 100 * time.Millisecond, DialAttempts: 6}
+	c := newClientEnd(addr, 1, cfg.link(0))
+	if err := c.hello(); err != nil {
 		t.Fatalf("connect via retry: %v", err)
 	}
 	defer c.close()
@@ -472,5 +473,148 @@ func TestChaosSoakSeededProfiles(t *testing.T) {
 			ref := inMemoryTrace(t, proto, inputs, seed)
 			assertByteIdentical(t, fmt.Sprintf("seed %d", seed), rep.Outputs, ref.HonestOutputs)
 		}
+	}
+}
+
+// TestResumeBudgetRefused pins the resume budget of the one link
+// handshake both callers share: the server grants MaxResumes resumes
+// and refuses the next one, even when the client's own budget would
+// allow more, so a session peer fail-stops and a stream errors out
+// instead of being resurrected.
+func TestResumeBudgetRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"session", resumeBudgetSession},
+		{"stream", resumeBudgetStream},
+	} {
+		t.Run(tc.name, tc.run)
+	}
+}
+
+// resumeBudgetSession disconnects party 1 at rounds 1 and 2 under a
+// host budget of one resume: round 1 heals, round 2 is refused, and the
+// party fail-stops at round 2 within the 2×RoundTimeout recovery budget
+// with the same cause on every run.
+func resumeBudgetSession(t *testing.T) {
+	register()
+	proto := contract.Pi1{}
+	inputs := []sim.Value{uint64(5), uint64(6)}
+	var causes [2]string
+	for i := range causes {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		hostCfg := SessionConfig{
+			RoundTimeout: chaosTimeout,
+			MaxResumes:   1,
+			Fault: faultinject.NewSchedule(
+				faultinject.Rule{Party: 1, Dir: faultinject.DirHostToClient, Round: 1, Op: faultinject.Disconnect},
+				faultinject.Rule{Party: 1, Dir: faultinject.DirHostToClient, Round: 2, Op: faultinject.Disconnect},
+			),
+		}
+		clientCfg := SessionConfig{RoundTimeout: chaosTimeout, MaxResumes: 64}
+		clientErrs := make(chan error, len(inputs))
+		for id, in := range inputs {
+			go func() { clientErrs <- runClient(ln.Addr().String(), proto, sim.PartyID(id+1), in, clientCfg) }()
+		}
+		start := time.Now()
+		rep, err := hostSessionReport(ln, proto, inputs, 1, hostCfg)
+		elapsed := time.Since(start)
+		_ = ln.Close()
+		if err != nil {
+			t.Fatalf("run %d: host errored instead of degrading: %v", i, err)
+		}
+		info, ok := rep.FailStops[1]
+		if !ok {
+			t.Fatalf("run %d: party 1 resumed past the budget: fail-stops %+v", i, rep.FailStops)
+		}
+		if info.Round != 2 {
+			t.Errorf("run %d: fail-stop round = %d, want 2 (the refused resume)", i, info.Round)
+		}
+		causes[i] = info.Cause
+		if !strings.Contains(info.Cause, "no resume within") {
+			t.Errorf("run %d: fail-stop cause %q does not name the refused resume", i, info.Cause)
+		}
+		if _, ok := rep.Outputs[2]; !ok {
+			t.Errorf("run %d: surviving party 2 has no output record", i)
+		}
+		if budget := 2*hostCfg.RoundTimeout + 2*time.Second; elapsed > budget {
+			t.Errorf("run %d: session took %v, want under %v", i, elapsed, budget)
+		}
+		var failed int
+		for range inputs {
+			if <-clientErrs != nil {
+				failed++
+			}
+		}
+		if failed != 1 {
+			t.Errorf("run %d: %d clients failed, want only the refused party", i, failed)
+		}
+	}
+	if causes[0] != causes[1] {
+		t.Errorf("fail-stop cause not deterministic: %q vs %q", causes[0], causes[1])
+	}
+}
+
+// resumeBudgetStream breaks a stream twice under a server budget of one
+// resume: the client heals the first break, and its Recv returns an
+// error after the second instead of hanging, with the server's grant
+// count unchanged.
+func resumeBudgetStream(t *testing.T) {
+	srv, err := ListenStream("127.0.0.1:0", StreamConfig{Timeout: 500 * time.Millisecond, MaxResumes: 1, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	resumes := func(ep *endpoint) int {
+		ep.mu.Lock()
+		defer ep.mu.Unlock()
+		return ep.resumes
+	}
+
+	served := make(chan *StreamConn, 1)
+	go func() {
+		sc, err := srv.Accept(5 * time.Second)
+		if err != nil {
+			close(served)
+			return
+		}
+		sc.breakAll("test-induced loss")
+		select {
+		case <-sc.resumed: // nothing else consumes it: the server never calls Recv
+		case <-time.After(5 * time.Second):
+			t.Error("client never resumed the first break")
+		}
+		sc.breakAll("test-induced loss")
+		served <- sc
+	}()
+
+	conn, err := DialStream(srv.Addr(), StreamConfig{Timeout: 500 * time.Millisecond, MaxResumes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	const recvTimeout = 10 * time.Second
+	start := time.Now()
+	if _, err := conn.Recv(recvTimeout); err == nil {
+		t.Fatal("Recv succeeded on a stream past its resume budget")
+	} else if errors.Is(err, ErrStreamStalled) || time.Since(start) >= recvTimeout/2 {
+		t.Fatalf("Recv waited out its deadline (%v after %v) instead of failing on the refusal", err, time.Since(start))
+	}
+	sc, ok := <-served
+	if !ok {
+		t.Fatal("server never accepted the stream")
+	}
+	if _, err := conn.Recv(time.Second); err == nil {
+		t.Fatal("a second Recv resurrected the stream")
+	}
+	if got := resumes(sc.endpoint); got != 1 {
+		t.Errorf("server granted %d resumes, want exactly its budget of 1", got)
+	}
+	if _, err := sc.Recv(time.Second); err == nil {
+		t.Error("server-side Recv succeeded on the refused stream")
 	}
 }

@@ -1,14 +1,15 @@
 package transport
 
-// The generic reliable stream layer: the session transport's frame
-// machinery (per-direction sequence numbers, FNV-1a checksums, outbox
-// replay, dedup/reorder windows, the reconnect/resume handshake)
-// promoted to an application-agnostic byte-message stream. A
-// StreamServer accepts many independent client streams — each its own
-// resumable session with its own token — which is what the distributed
-// sweep fabric (internal/fabric) runs its coordinator↔worker links
-// over: the same chaos hardening the protocol sessions get, reused for
-// lease grants, heartbeats, and checkpoint records.
+// The generic reliable stream layer: the same resumable link protocol
+// sessions run over (endpoint in transport.go: per-direction sequence
+// numbers, FNV-1a checksums, outbox replay, dedup/reorder windows, the
+// reconnect/resume handshake) carrying opaque byte messages instead of
+// round frames. A StreamServer accepts many independent client streams
+// — each its own resumable session with its own token — which is what
+// the distributed sweep fabric (internal/fabric) runs its
+// coordinator↔worker links over: the same chaos hardening the protocol
+// sessions get, reused for lease grants, heartbeats, and checkpoint
+// records.
 //
 // Delivery contract: every payload handed to Send is delivered to the
 // peer exactly once and in order, as long as the connection can be
@@ -28,7 +29,6 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/sim"
 )
 
 // ErrStreamClosed is returned by stream operations after Close (or
@@ -72,6 +72,8 @@ type StreamConfig struct {
 	Seed int64
 }
 
+// withDefaults is the one defaulting of the link fields; sessions reach
+// it through SessionConfig.link.
 func (c StreamConfig) withDefaults() StreamConfig {
 	if c.Timeout <= 0 {
 		c.Timeout = DefaultRoundTimeout
@@ -95,41 +97,18 @@ func (c StreamConfig) withDefaults() StreamConfig {
 // Send and Recv are safe for concurrent use with each other (one
 // sender goroutine plus one receiver goroutine is the intended shape).
 type StreamConn struct {
-	endpoint
-	id    int
-	token uint64
-	cfg   StreamConfig
-
-	// client-side redial state; empty addr on the server side.
-	addr string
-
-	// server-side resume plumbing (mirrors hostPeer).
-	serverSide bool
-	resumed    chan struct{}
-
-	// resumes and closed are guarded by endpoint.mu.
-	resumes int
-	closed  bool
+	*endpoint
 }
 
 // ID returns the server-assigned stream identifier (1-based).
-func (sc *StreamConn) ID() int { return sc.id }
+func (sc *StreamConn) ID() int { return sc.party }
 
 // Close tears the stream down. The peer sees the loss as a connection
 // fault; a closed stream refuses resumes, so the peer's recovery fails
 // rather than resurrecting it.
 func (sc *StreamConn) Close() error {
-	sc.mu.Lock()
-	sc.closed = true
-	sc.mu.Unlock()
-	sc.endpoint.close()
+	sc.shut()
 	return nil
-}
-
-func (sc *StreamConn) isClosed() bool {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.closed
 }
 
 // Send transmits one payload reliably (Round 0).
@@ -144,14 +123,7 @@ func (sc *StreamConn) SendAt(round int, payload []byte) error {
 	if sc.isClosed() {
 		return ErrStreamClosed
 	}
-	err := sc.sendReliable(frame{Kind: kindData, ID: sc.id, Round: round, Output: payload})
-	if errors.Is(err, ErrKilled) {
-		// The crash is permanent: refuse any later send/recv/resume.
-		sc.mu.Lock()
-		sc.closed = true
-		sc.mu.Unlock()
-	}
-	return err
+	return sc.sendReliable(frame{Kind: kindData, ID: sc.party, Round: round, Output: payload})
 }
 
 // Recv returns the next in-order payload, healing the connection as
@@ -163,12 +135,7 @@ func (sc *StreamConn) Recv(timeout time.Duration) ([]byte, error) {
 	if sc.isClosed() {
 		return nil, ErrStreamClosed
 	}
-	deadline := time.Now().Add(timeout)
-	recover := sc.recoverClient
-	if sc.serverSide {
-		recover = sc.awaitResume
-	}
-	f, err := sc.recvReliable(deadline, recover)
+	f, err := sc.recvReliable(time.Now().Add(timeout))
 	if err != nil {
 		if errors.Is(err, errBudget) {
 			sc.breakAll("stall (stream deadline)")
@@ -180,153 +147,9 @@ func (sc *StreamConn) Recv(timeout time.Duration) ([]byte, error) {
 		return nil, err
 	}
 	if f.Kind != kindData {
-		return nil, fmt.Errorf("transport: stream %d: unexpected %v frame", sc.id, f.Kind)
+		return nil, fmt.Errorf("transport: stream %d: unexpected %v frame", sc.party, f.Kind)
 	}
 	return f.Output, nil
-}
-
-// awaitResume is the server-side recovery step: wait (bounded by
-// ReconnectWait and the op deadline) for the accept loop to install a
-// resumed connection.
-func (sc *StreamConn) awaitResume(deadline time.Time) error {
-	wait := sc.cfg.ReconnectWait
-	if rem := time.Until(deadline); rem < wait {
-		wait = rem
-	}
-	if wait <= 0 {
-		return errNoResume
-	}
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
-	for {
-		sc.mu.Lock()
-		broken, closed := sc.broken, sc.closed
-		sc.mu.Unlock()
-		if closed {
-			return ErrStreamClosed
-		}
-		if !broken {
-			return nil
-		}
-		select {
-		case <-sc.resumed:
-		case <-timer.C:
-			return errNoResume
-		}
-	}
-}
-
-// handleResume (server accept-loop side) adopts a fresh connection for
-// a broken stream: install, trim the outbox by the client's ack,
-// answer with our ack, replay. A closed or resume-exhausted stream
-// refuses, which is what keeps a worker the coordinator declared dead
-// from resurrecting its session.
-func (sc *StreamConn) handleResume(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, clientAck uint64) {
-	sc.mu.Lock()
-	if sc.closed || sc.resumes >= sc.cfg.MaxResumes {
-		sc.mu.Unlock()
-		_ = conn.Close()
-		return
-	}
-	sc.resumes++
-	if sc.conn != nil {
-		_ = sc.conn.Close()
-	}
-	sc.conn, sc.enc, sc.dec = conn, enc, dec
-	sc.gen++
-	sc.broken = false
-	i := 0
-	for i < len(sc.outbox) && sc.outbox[i].Seq <= clientAck {
-		i++
-	}
-	sc.outbox = append([]frame(nil), sc.outbox[i:]...)
-	replay := append([]frame(nil), sc.outbox...)
-	ack := sc.lastRecv
-	sc.mu.Unlock()
-
-	sc.wmu.Lock()
-	if writeFrame(conn, enc, sc.timeout, frame{Kind: kindResumeAck, Ack: ack}) == nil {
-		for _, f := range replay {
-			if writeFrame(conn, enc, sc.timeout, f) != nil {
-				break
-			}
-		}
-	}
-	sc.wmu.Unlock()
-
-	select {
-	case sc.resumed <- struct{}{}:
-	default:
-	}
-}
-
-// dialStream runs one handshake attempt per dial with exponential
-// backoff, mirroring clientPeer.dialRetry.
-func (sc *StreamConn) dialStream(attempt func(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder) error) error {
-	backoff := 20 * time.Millisecond
-	var lastErr error
-	for i := 0; i < sc.cfg.DialAttempts; i++ {
-		if i > 0 {
-			time.Sleep(backoff)
-			backoff *= 2
-		}
-		conn, err := net.DialTimeout("tcp", sc.addr, sc.cfg.DialTimeout)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if err := attempt(conn, gob.NewEncoder(conn), gob.NewDecoder(conn)); err != nil {
-			_ = conn.Close()
-			lastErr = err
-			continue
-		}
-		return nil
-	}
-	return fmt.Errorf("transport: dial %s after %d attempts: %w", sc.addr, sc.cfg.DialAttempts, lastErr)
-}
-
-// recoverClient is the client-side recovery step: redial, resume with
-// our cumulative ack, adopt the server's ack, replay the outbox.
-func (sc *StreamConn) recoverClient(deadline time.Time) error {
-	if sc.isClosed() {
-		return ErrStreamClosed
-	}
-	sc.mu.Lock()
-	budget := sc.resumes < sc.cfg.MaxResumes
-	if budget {
-		sc.resumes++
-	}
-	sc.mu.Unlock()
-	if !budget {
-		return fmt.Errorf("transport: stream %d: resume budget (%d) exhausted", sc.id, sc.cfg.MaxResumes)
-	}
-	return sc.dialStream(func(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder) error {
-		if time.Now().After(deadline) {
-			return errBudget
-		}
-		rf := frame{Kind: kindResume, ID: sc.id, Token: sc.token, Ack: sc.ackSeq()}
-		if err := writeFrame(conn, enc, sc.timeout, rf); err != nil {
-			return err
-		}
-		var ack frame
-		if err := readFrame(conn, dec, sc.timeout, &ack); err != nil {
-			return err
-		}
-		if ack.Kind != kindResumeAck {
-			return fmt.Errorf("expected resume-ack frame, got %v", ack.Kind)
-		}
-		sc.install(conn, enc, dec)
-		sc.trimOutbox(ack.Ack)
-		replay := sc.replayList()
-		sc.wmu.Lock()
-		for _, f := range replay {
-			if writeFrame(conn, enc, sc.timeout, f) != nil {
-				break
-			}
-		}
-		sc.wmu.Unlock()
-		return nil
-	})
 }
 
 // StreamServer accepts reliable client streams on one listener and
@@ -339,7 +162,7 @@ type StreamServer struct {
 	done     chan struct{}
 
 	mu     sync.Mutex
-	conns  map[int]*StreamConn
+	conns  map[int]*endpoint
 	nextID int
 	closed bool
 }
@@ -357,9 +180,9 @@ func ListenStream(addr string, cfg StreamConfig) (*StreamServer, error) {
 		cfg:      cfg,
 		acceptCh: make(chan *StreamConn, 64),
 		done:     make(chan struct{}),
-		conns:    make(map[int]*StreamConn),
+		conns:    make(map[int]*endpoint),
 	}
-	go s.acceptLoop()
+	go serveLinks(ln, cfg.Timeout, s.hello, s.lookup)
 	return s, nil
 }
 
@@ -396,115 +219,42 @@ func (s *StreamServer) Close() error {
 	return s.ln.Close()
 }
 
-func (s *StreamServer) acceptLoop() {
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		go s.handle(conn)
-	}
-}
-
-// handle dispatches one fresh TCP connection: a hello opens a new
-// stream (the server assigns the ID and token), a resume re-attaches a
-// broken one.
-func (s *StreamServer) handle(conn net.Conn) {
-	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-	var f frame
-	if err := readFrame(conn, dec, s.cfg.Timeout, &f); err != nil {
+// hello opens a new stream: the server assigns the ID and token.
+func (s *StreamServer) hello(_ frame, conn net.Conn, enc *gob.Encoder, dec *gob.Decoder) {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
 		_ = conn.Close()
 		return
 	}
-	switch f.Kind {
-	case kindHello:
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		s.nextID++
-		id := s.nextID
-		sc := &StreamConn{
-			endpoint: endpoint{
-				party:    id,
-				dir:      faultinject.DirHostToClient,
-				timeout:  s.cfg.Timeout,
-				fault:    s.cfg.Fault,
-				hostSide: true,
-				pending:  make(map[uint64]frame),
-			},
-			id:         id,
-			token:      sessionToken(s.cfg.Seed, sim.PartyID(id)),
-			cfg:        s.cfg,
-			serverSide: true,
-			resumed:    make(chan struct{}, 1),
-		}
-		s.conns[id] = sc
-		s.mu.Unlock()
-		sc.install(conn, enc, dec)
-		sc.wmu.Lock()
-		err := writeFrame(conn, enc, s.cfg.Timeout, frame{Kind: kindWelcome, ID: id, Token: sc.token})
-		sc.wmu.Unlock()
-		if err != nil {
-			// The client redials its hello; this half-open stream is
-			// abandoned (its ID is burned, never reused).
-			sc.breakAll(causeOf(err))
-			return
-		}
-		select {
-		case s.acceptCh <- sc:
-		case <-s.done:
-			_ = sc.Close()
-		}
-	case kindResume:
-		s.mu.Lock()
-		sc := s.conns[f.ID]
-		s.mu.Unlock()
-		if sc == nil || f.Token != sc.token {
-			_ = conn.Close()
-			return
-		}
-		sc.handleResume(conn, enc, dec, f.Ack)
-	default:
-		_ = conn.Close()
+	s.nextID++
+	sc := &StreamConn{newServerEnd(s.nextID, s.cfg)}
+	s.conns[sc.party] = sc.endpoint
+	s.mu.Unlock()
+	if sc.welcome(conn, enc, dec, frame{Kind: kindWelcome, ID: sc.party, Token: sc.token}) != nil {
+		// The client redials its hello; this half-open stream is
+		// abandoned (its ID is burned, never reused).
+		return
 	}
+	select {
+	case s.acceptCh <- sc:
+	case <-s.done:
+		_ = sc.Close()
+	}
+}
+
+func (s *StreamServer) lookup(id int) *endpoint {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.conns[id]
 }
 
 // DialStream opens a reliable client stream to a StreamServer: dial
 // with bounded retry, hello, adopt the server-assigned ID and token.
 func DialStream(addr string, cfg StreamConfig) (*StreamConn, error) {
-	cfg = cfg.withDefaults()
-	sc := &StreamConn{
-		endpoint: endpoint{
-			dir:     faultinject.DirClientToHost,
-			timeout: cfg.Timeout,
-			fault:   cfg.Fault,
-			pending: make(map[uint64]frame),
-		},
-		cfg:  cfg,
-		addr: addr,
-	}
-	err := sc.dialStream(func(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder) error {
-		if err := writeFrame(conn, enc, cfg.Timeout, frame{Kind: kindHello}); err != nil {
-			return err
-		}
-		var w frame
-		if err := readFrame(conn, dec, cfg.Timeout, &w); err != nil {
-			return err
-		}
-		if w.Kind != kindWelcome {
-			return fmt.Errorf("expected welcome frame, got %v", w.Kind)
-		}
-		sc.id = w.ID
-		sc.token = w.Token
-		sc.party = w.ID
-		sc.install(conn, enc, dec)
-		return nil
-	})
-	if err != nil {
+	ep := newClientEnd(addr, 0, cfg.withDefaults())
+	if err := ep.hello(); err != nil {
 		return nil, err
 	}
-	return sc, nil
+	return &StreamConn{ep}, nil
 }

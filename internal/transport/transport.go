@@ -297,25 +297,27 @@ func (c SessionConfig) withDefaults() SessionConfig {
 	if c.Codec == nil {
 		c.Codec = GobCodec{}
 	}
-	if c.RoundTimeout <= 0 {
-		c.RoundTimeout = DefaultRoundTimeout
-	}
+	l := c.link(0)
+	c.RoundTimeout, c.DialTimeout, c.DialAttempts, c.ReconnectWait, c.MaxResumes =
+		l.Timeout, l.DialTimeout, l.DialAttempts, l.ReconnectWait, l.MaxResumes
 	if c.AcceptTimeout <= 0 {
 		c.AcceptTimeout = c.RoundTimeout
 	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = c.RoundTimeout
-	}
-	if c.DialAttempts <= 0 {
-		c.DialAttempts = DefaultDialAttempts
-	}
-	if c.ReconnectWait <= 0 {
-		c.ReconnectWait = c.RoundTimeout / 2
-	}
-	if c.MaxResumes <= 0 {
-		c.MaxResumes = DefaultMaxResumes
-	}
 	return c
+}
+
+// link is the defaulted link configuration of every peer connection in
+// the session; seed drives the host's resume-token derivation.
+func (c SessionConfig) link(seed int64) StreamConfig {
+	return StreamConfig{
+		Timeout:       c.RoundTimeout,
+		DialTimeout:   c.DialTimeout,
+		DialAttempts:  c.DialAttempts,
+		ReconnectWait: c.ReconnectWait,
+		MaxResumes:    c.MaxResumes,
+		Fault:         c.Fault,
+		Seed:          seed,
+	}.withDefaults()
 }
 
 // SessionReport is the full result of a chaos-tolerant session: the
@@ -377,17 +379,22 @@ func readFrame(conn net.Conn, dec *gob.Decoder, timeout time.Duration, f *frame)
 	return dec.Decode(f)
 }
 
-// endpoint is one end of a reliable frame stream: it assigns sequence
-// numbers, buffers unacknowledged frames for replay, deduplicates and
-// reorders received frames, and survives connection swaps (resume
-// installs a fresh conn under mu and bumps gen so stale I/O errors from
-// the old conn cannot poison the new one).
+// endpoint is one end of a resumable reliable link — the single
+// implementation behind protocol sessions (hostPeer, runClient) and
+// generic streams (StreamConn). It assigns sequence numbers, buffers
+// unacknowledged frames for replay, deduplicates and reorders received
+// frames, and survives connection swaps (a resume installs a fresh conn
+// under mu and bumps gen so stale I/O errors from the old conn cannot
+// poison the new one). A server end (dir DirHostToClient) heals by
+// waiting for the client's resume; a client end heals by redialing addr.
 type endpoint struct {
-	party    int                   // client party id of this connection
-	dir      faultinject.Direction // direction of frames this endpoint sends
-	timeout  time.Duration
-	fault    faultinject.Injector
-	hostSide bool
+	party int                   // party or stream ID, the fault point's Party
+	dir   faultinject.Direction // direction of frames this endpoint sends
+	cfg   StreamConfig          // defaulted link settings
+	addr  string                // client side: the server to (re)dial
+	token uint64                // session token a resume presents
+
+	resumed chan struct{} // server side: signaled by handleResume
 
 	mu        sync.Mutex
 	conn      net.Conn
@@ -396,6 +403,10 @@ type endpoint struct {
 	gen       int
 	broken    bool
 	lastCause string
+	// closed refuses every later resume: a closed stream, a killed
+	// client, or a host peer declared dead.
+	closed  bool
+	resumes int // resumes granted (server side) or attempted (client side)
 
 	sendSeq  uint64
 	outbox   []frame // sent frames the peer has not acknowledged
@@ -406,23 +417,86 @@ type endpoint struct {
 	wmu sync.Mutex // serializes writes on the current conn
 }
 
+// newServerEnd returns the server end of link id; its resume token
+// derives from cfg.Seed.
+func newServerEnd(id int, cfg StreamConfig) *endpoint {
+	return &endpoint{
+		party:   id,
+		dir:     faultinject.DirHostToClient,
+		cfg:     cfg,
+		token:   sessionToken(cfg.Seed, sim.PartyID(id)),
+		resumed: make(chan struct{}, 1),
+		pending: make(map[uint64]frame),
+	}
+}
+
+// newClientEnd returns the client end of a link to addr; hello connects
+// it. An id of zero asks the server to assign one.
+func newClientEnd(addr string, id int, cfg StreamConfig) *endpoint {
+	return &endpoint{party: id, dir: faultinject.DirClientToHost, cfg: cfg, addr: addr, pending: make(map[uint64]frame)}
+}
+
+func (ep *endpoint) serverSide() bool { return ep.dir == faultinject.DirHostToClient }
+
 func (ep *endpoint) install(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder) {
 	ep.mu.Lock()
+	ep.installLocked(conn, enc, dec)
+	ep.mu.Unlock()
+}
+
+func (ep *endpoint) installLocked(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder) {
 	if ep.conn != nil {
 		_ = ep.conn.Close()
 	}
 	ep.conn, ep.enc, ep.dec = conn, enc, dec
 	ep.gen++
 	ep.broken = false
-	ep.mu.Unlock()
+}
+
+// resumeLocked installs conn after a resume handshake, drops the frames
+// the peer acknowledged, and returns the rest for replay. mu is held.
+func (ep *endpoint) resumeLocked(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, peerAck uint64) []frame {
+	ep.installLocked(conn, enc, dec)
+	i := 0
+	for i < len(ep.outbox) && ep.outbox[i].Seq <= peerAck {
+		i++
+	}
+	ep.outbox = append([]frame(nil), ep.outbox[i:]...)
+	return append([]frame(nil), ep.outbox...)
+}
+
+// writeAll writes frames on conn in order, stopping at the first
+// failure: whatever it could not write, the next resume replays.
+func (ep *endpoint) writeAll(conn net.Conn, enc *gob.Encoder, frames ...frame) error {
+	ep.wmu.Lock()
+	defer ep.wmu.Unlock()
+	for _, f := range frames {
+		if err := writeFrame(conn, enc, ep.cfg.Timeout, f); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// welcome (server side) adopts a fresh hello connection and answers it
+// with w. A failed welcome poisons the conn; the client redials its
+// hello.
+func (ep *endpoint) welcome(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, w frame) error {
+	ep.install(conn, enc, dec)
+	err := ep.writeAll(conn, enc, w)
+	if err != nil {
+		ep.breakAll(causeOf(err))
+	}
+	return err
 }
 
 // breakGen poisons the connection of generation gen; a resume that
-// already installed a newer conn makes it a no-op.
+// already installed a newer conn makes it a no-op. A negative gen
+// poisons whatever connection is current.
 func (ep *endpoint) breakGen(gen int, cause string) {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	if ep.gen != gen || ep.broken {
+	if (gen >= 0 && ep.gen != gen) || ep.broken {
 		return
 	}
 	ep.broken = true
@@ -433,25 +507,36 @@ func (ep *endpoint) breakGen(gen int, cause string) {
 }
 
 // breakAll poisons whatever connection is current (sender-side faults).
-func (ep *endpoint) breakAll(cause string) {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	if ep.broken {
-		return
-	}
-	ep.broken = true
-	ep.lastCause = cause
-	if ep.conn != nil {
-		_ = ep.conn.Close()
-	}
-}
+func (ep *endpoint) breakAll(cause string) { ep.breakGen(-1, cause) }
 
+// close closes the current connection only; the link stays resumable.
 func (ep *endpoint) close() {
 	ep.mu.Lock()
 	if ep.conn != nil {
 		_ = ep.conn.Close()
 	}
 	ep.mu.Unlock()
+}
+
+// shutLocked closes the link for good: the conn is torn down and every
+// later resume is refused. mu is held.
+func (ep *endpoint) shutLocked() {
+	ep.closed, ep.broken = true, true
+	if ep.conn != nil {
+		_ = ep.conn.Close()
+	}
+}
+
+func (ep *endpoint) shut() {
+	ep.mu.Lock()
+	ep.shutLocked()
+	ep.mu.Unlock()
+}
+
+func (ep *endpoint) isClosed() bool {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	return ep.closed
 }
 
 // writeCurrent writes one frame on the current conn, best-effort: a
@@ -466,7 +551,7 @@ func (ep *endpoint) writeCurrent(f frame) {
 	if broken || conn == nil {
 		return
 	}
-	if err := writeFrame(conn, enc, ep.timeout, f); err != nil {
+	if err := writeFrame(conn, enc, ep.cfg.Timeout, f); err != nil {
 		ep.breakGen(gen, causeOf(err))
 	}
 }
@@ -474,7 +559,8 @@ func (ep *endpoint) writeCurrent(f frame) {
 // sendReliable assigns the next sequence number, checksums the frame,
 // appends it to the outbox, and transmits it — subject to the fault
 // injector, which is consulted only here, on first transmission.
-// The only possible error is ErrKilled on client endpoints.
+// The only possible error is ErrKilled on client endpoints, which also
+// shuts the link.
 func (ep *endpoint) sendReliable(f frame) error {
 	ep.mu.Lock()
 	ep.sendSeq++
@@ -487,10 +573,10 @@ func (ep *endpoint) sendReliable(f frame) error {
 	ep.mu.Unlock()
 
 	var d faultinject.Decision
-	if ep.fault != nil {
-		d = ep.fault.Decide(faultinject.Point{Party: ep.party, Dir: ep.dir, Seq: f.Seq, Round: f.Round})
+	if ep.cfg.Fault != nil {
+		d = ep.cfg.Fault.Decide(faultinject.Point{Party: ep.party, Dir: ep.dir, Seq: f.Seq, Round: f.Round})
 	}
-	if d.Op == faultinject.Kill && ep.hostSide {
+	if d.Op == faultinject.Kill && ep.serverSide() {
 		d.Op = faultinject.Disconnect
 	}
 
@@ -513,7 +599,7 @@ func (ep *endpoint) sendReliable(f frame) error {
 		ep.writeCurrent(f)
 		ep.breakAll("connection lost")
 	case faultinject.Kill:
-		ep.breakAll("connection lost")
+		ep.shut()
 		return ErrKilled
 	default:
 		ep.writeCurrent(f)
@@ -526,38 +612,12 @@ func (ep *endpoint) sendReliable(f frame) error {
 	return nil
 }
 
-// ackSeq is the cumulative ack this endpoint advertises on resume.
-func (ep *endpoint) ackSeq() uint64 {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	return ep.lastRecv
-}
-
-// trimOutbox drops frames the peer acknowledged.
-func (ep *endpoint) trimOutbox(ack uint64) {
-	ep.mu.Lock()
-	i := 0
-	for i < len(ep.outbox) && ep.outbox[i].Seq <= ack {
-		i++
-	}
-	ep.outbox = append([]frame(nil), ep.outbox[i:]...)
-	ep.mu.Unlock()
-}
-
-// replayList snapshots the unacknowledged outbox for retransmission.
-func (ep *endpoint) replayList() []frame {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	return append([]frame(nil), ep.outbox...)
-}
-
 // recvReliable returns the next in-order sequenced frame, healing the
-// stream as needed: duplicates are discarded, reordered frames are
+// link as needed: duplicates are discarded, reordered frames are
 // buffered until the gap fills, corrupt frames and I/O errors poison
-// the conn, and recover is invoked to re-establish it (host: wait for
-// the peer's resume; client: redial and resume). The absolute deadline
-// bounds the whole operation, recovery included.
-func (ep *endpoint) recvReliable(deadline time.Time, recover func(time.Time) error) (frame, error) {
+// the conn, and heal re-establishes it. The absolute deadline bounds
+// the whole operation, recovery included.
+func (ep *endpoint) recvReliable(deadline time.Time) (frame, error) {
 	for {
 		ep.mu.Lock()
 		if f, ok := ep.pending[ep.lastRecv+1]; ok {
@@ -573,7 +633,7 @@ func (ep *endpoint) recvReliable(deadline time.Time, recover func(time.Time) err
 			if time.Now().After(deadline) {
 				return frame{}, errBudget
 			}
-			if err := recover(deadline); err != nil {
+			if err := ep.heal(deadline); err != nil {
 				return frame{}, err
 			}
 			continue
@@ -583,11 +643,7 @@ func (ep *endpoint) recvReliable(deadline time.Time, recover func(time.Time) err
 		if rem <= 0 {
 			return frame{}, errBudget
 		}
-		to := ep.timeout
-		if rem < to {
-			to = rem
-		}
-		_ = conn.SetReadDeadline(time.Now().Add(to))
+		_ = conn.SetReadDeadline(time.Now().Add(min(ep.cfg.Timeout, rem)))
 		var f frame
 		if err := dec.Decode(&f); err != nil {
 			// A mid-frame deadline leaves the gob stream unframed, so
@@ -617,141 +673,212 @@ func (ep *endpoint) recvReliable(deadline time.Time, recover func(time.Time) err
 	}
 }
 
-// hostPeer is the host's reliable endpoint for one party, plus the
-// degradation state the engine reads (dead/round/cause) and the resume
-// plumbing the accept manager drives.
-type hostPeer struct {
-	endpoint
-	id            sim.PartyID
-	token         uint64
-	reconnectWait time.Duration
-	maxResumes    int
-
-	resumed chan struct{} // signaled by handleResume
-
-	// resumes, dead, deadRound, deadCause, reported are guarded by
-	// endpoint.mu.
-	resumes   int
-	dead      bool
-	deadRound int
-	deadCause string
-	reported  bool // FailStop already applied to the engine
-}
-
-func newHostPeer(id sim.PartyID, token uint64, cfg SessionConfig) *hostPeer {
-	return &hostPeer{
-		endpoint: endpoint{
-			party:    int(id),
-			dir:      faultinject.DirHostToClient,
-			timeout:  cfg.RoundTimeout,
-			fault:    cfg.Fault,
-			hostSide: true,
-			pending:  make(map[uint64]frame),
-		},
-		id:            id,
-		token:         token,
-		reconnectWait: cfg.ReconnectWait,
-		maxResumes:    cfg.MaxResumes,
-		resumed:       make(chan struct{}, 1),
+// heal re-establishes a broken conn: a server end waits for the
+// client's resume, a client end redials.
+func (ep *endpoint) heal(deadline time.Time) error {
+	if ep.serverSide() {
+		return ep.awaitResume(deadline)
 	}
+	return ep.redial(deadline)
 }
 
-// handleResume (accept-manager side) adopts a fresh connection for a
-// broken peer: install it, trim the outbox by the client's ack, answer
-// with our own ack, and replay everything the client is missing.
-func (p *hostPeer) handleResume(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, clientAck uint64) {
-	p.mu.Lock()
-	if p.dead || p.resumes >= p.maxResumes {
-		p.mu.Unlock()
+// handleResume (server side) adopts a fresh connection for a broken
+// link: it answers with its own ack and replays everything the client
+// is missing. A closed link, a wrong token or a spent resume budget is
+// refused by closing conn, which is what keeps a peer declared dead
+// from resurrecting its session.
+func (ep *endpoint) handleResume(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, f frame) {
+	ep.mu.Lock()
+	if ep.closed || f.Token != ep.token || ep.resumes >= ep.cfg.MaxResumes {
+		ep.mu.Unlock()
 		_ = conn.Close()
 		return
 	}
-	p.resumes++
-	if p.conn != nil {
-		_ = p.conn.Close()
-	}
-	p.conn, p.enc, p.dec = conn, enc, dec
-	p.gen++
-	p.broken = false
-	i := 0
-	for i < len(p.outbox) && p.outbox[i].Seq <= clientAck {
-		i++
-	}
-	p.outbox = append([]frame(nil), p.outbox[i:]...)
-	replay := append([]frame(nil), p.outbox...)
-	ack := p.lastRecv
-	p.mu.Unlock()
-
-	p.wmu.Lock()
-	if writeFrame(conn, enc, p.timeout, frame{Kind: kindResumeAck, Ack: ack}) == nil {
-		for _, f := range replay {
-			if writeFrame(conn, enc, p.timeout, f) != nil {
-				break
-			}
-		}
-	}
-	p.wmu.Unlock()
-
+	ep.resumes++
+	ack := frame{Kind: kindResumeAck, Ack: ep.lastRecv}
+	replay := ep.resumeLocked(conn, enc, dec, f.Ack)
+	ep.mu.Unlock()
+	_ = ep.writeAll(conn, enc, append([]frame{ack}, replay...)...)
 	select {
-	case p.resumed <- struct{}{}:
+	case ep.resumed <- struct{}{}:
 	default:
 	}
 }
 
-// awaitResume is the host's recovery step: wait up to ReconnectWait
-// (capped by the op deadline) for the accept manager to install a
-// resumed connection. Expiry means the peer is gone for good.
-func (p *hostPeer) awaitResume(deadline time.Time) error {
-	wait := p.reconnectWait
-	if rem := time.Until(deadline); rem < wait {
-		wait = rem
-	}
+// awaitResume is the server's recovery step: wait up to ReconnectWait
+// (capped by the op deadline) for handleResume to install a resumed
+// connection. Expiry means the peer is gone for good.
+func (ep *endpoint) awaitResume(deadline time.Time) error {
+	wait := min(ep.cfg.ReconnectWait, time.Until(deadline))
 	if wait <= 0 {
 		return errNoResume
 	}
 	timer := time.NewTimer(wait)
 	defer timer.Stop()
 	for {
-		p.mu.Lock()
-		broken := p.broken
-		p.mu.Unlock()
+		ep.mu.Lock()
+		broken, closed := ep.broken, ep.closed
+		ep.mu.Unlock()
+		if closed {
+			return ErrStreamClosed
+		}
 		if !broken {
 			return nil
 		}
 		select {
-		case <-p.resumed:
+		case <-ep.resumed:
 		case <-timer.C:
 			return errNoResume
 		}
 	}
 }
 
+// dial runs one handshake attempt per dial of addr, with exponential
+// backoff between attempts.
+func (ep *endpoint) dial(attempt func(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder) error) error {
+	backoff := 20 * time.Millisecond
+	var lastErr error
+	for i := 0; i < ep.cfg.DialAttempts; i++ {
+		if i > 0 {
+			time.Sleep(backoff)
+			backoff *= 2
+		}
+		conn, err := net.DialTimeout("tcp", ep.addr, ep.cfg.DialTimeout)
+		if err != nil {
+			lastErr = err
+			continue
+		}
+		if err := attempt(conn, gob.NewEncoder(conn), gob.NewDecoder(conn)); err != nil {
+			_ = conn.Close()
+			lastErr = err
+			continue
+		}
+		return nil
+	}
+	return fmt.Errorf("transport: dial %s after %d attempts: %w", ep.addr, ep.cfg.DialAttempts, lastErr)
+}
+
+// handshake sends f on a fresh conn and reads the server's answer,
+// which must be of kind want.
+func (ep *endpoint) handshake(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, f frame, want frameKind) (frame, error) {
+	if err := writeFrame(conn, enc, ep.cfg.Timeout, f); err != nil {
+		return frame{}, err
+	}
+	var r frame
+	if err := readFrame(conn, dec, ep.cfg.Timeout, &r); err != nil {
+		return frame{}, err
+	}
+	if r.Kind != want {
+		return frame{}, fmt.Errorf("expected %v frame, got %v", want, r.Kind)
+	}
+	return r, nil
+}
+
+// hello connects a client end: dial with bounded retry, hello with the
+// party ID, and adopt the welcome's token and any server-assigned ID.
+func (ep *endpoint) hello() error {
+	return ep.dial(func(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder) error {
+		w, err := ep.handshake(conn, enc, dec, frame{Kind: kindHello, ID: ep.party}, kindWelcome)
+		if err != nil {
+			return err
+		}
+		if w.ID != 0 {
+			ep.party = w.ID
+		}
+		ep.token = w.Token
+		ep.install(conn, enc, dec)
+		return nil
+	})
+}
+
+// redial is the client's recovery step: within the resume budget,
+// redial, resume with our cumulative ack, adopt the server's ack, and
+// replay our unacknowledged outbox.
+func (ep *endpoint) redial(deadline time.Time) error {
+	ep.mu.Lock()
+	closed, spent := ep.closed, ep.resumes >= ep.cfg.MaxResumes
+	if !closed && !spent {
+		ep.resumes++
+	}
+	ep.mu.Unlock()
+	switch {
+	case closed:
+		return ErrStreamClosed
+	case spent:
+		return fmt.Errorf("transport: link %d: resume budget (%d) exhausted", ep.party, ep.cfg.MaxResumes)
+	}
+	return ep.dial(func(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder) error {
+		if time.Now().After(deadline) {
+			return errBudget
+		}
+		ep.mu.Lock()
+		rf := frame{Kind: kindResume, ID: ep.party, Token: ep.token, Ack: ep.lastRecv}
+		ep.mu.Unlock()
+		ack, err := ep.handshake(conn, enc, dec, rf, kindResumeAck)
+		if err != nil {
+			return err
+		}
+		ep.mu.Lock()
+		replay := ep.resumeLocked(conn, enc, dec, ack.Ack)
+		ep.mu.Unlock()
+		_ = ep.writeAll(conn, enc, replay...)
+		return nil
+	})
+}
+
+// serveLinks is the one accept loop of sessions and streams. It
+// dispatches each fresh connection on its first frame — a hello to
+// onHello, a resume to the endpoint lookup returns for its ID — until
+// the listener closes.
+func serveLinks(ln net.Listener, timeout time.Duration, onHello func(f frame, conn net.Conn, enc *gob.Encoder, dec *gob.Decoder), lookup func(id int) *endpoint) {
+	for {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		go func() {
+			enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
+			var f frame
+			if err := readFrame(conn, dec, timeout, &f); err == nil {
+				switch f.Kind {
+				case kindHello:
+					onHello(f, conn, enc, dec)
+					return
+				case kindResume:
+					if ep := lookup(f.ID); ep != nil {
+						ep.handleResume(conn, enc, dec, f)
+						return
+					}
+				}
+			}
+			_ = conn.Close()
+		}()
+	}
+}
+
+// hostPeer is the host's end of one party's link plus the fail-stop
+// bookkeeping the engine reads. The link's closed flag means dead;
+// deadRound, deadCause and reported are guarded by endpoint.mu.
+type hostPeer struct {
+	*endpoint
+	deadRound int
+	deadCause string
+	reported  bool // FailStop already applied to the engine
+}
+
 // recvHost receives the peer's next sequenced frame under the session's
 // recovery budget: 2×RoundTimeout, resume waits included.
 func (p *hostPeer) recvHost() (frame, error) {
-	deadline := time.Now().Add(2 * p.timeout)
-	return p.recvReliable(deadline, p.awaitResume)
+	return p.recvReliable(time.Now().Add(2 * p.cfg.Timeout))
 }
 
 func (p *hostPeer) markDead(round int, cause string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.dead {
-		return
+	if !p.closed {
+		p.deadRound, p.deadCause = round, cause
+		p.shutLocked()
 	}
-	p.dead = true
-	p.deadRound = round
-	p.deadCause = cause
-	p.broken = true
-	if p.conn != nil {
-		_ = p.conn.Close()
-	}
-}
-
-func (p *hostPeer) isDead() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.dead
 }
 
 // deathCause canonicalizes the terminal receive error into the
@@ -765,7 +892,7 @@ func (p *hostPeer) deathCause(err error) string {
 	}
 	switch {
 	case errors.Is(err, errNoResume):
-		return fmt.Sprintf("%s; no resume within %v", last, p.reconnectWait)
+		return fmt.Sprintf("%s; no resume within %v", last, p.cfg.ReconnectWait)
 	case errors.Is(err, errBudget):
 		return last + "; recovery budget exhausted"
 	default:
@@ -791,14 +918,11 @@ type helloConn struct {
 	dec  *gob.Decoder
 }
 
-// acceptManager owns the listener for a session's lifetime: during the
-// accept phase it feeds hello connections to the host, and for the rest
-// of the session it routes resume handshakes to the broken peer they
-// belong to.
+// acceptManager is the session side of serveLinks: during the accept
+// phase it feeds hello connections to the host, and for the rest of the
+// session it resolves resume handshakes to the peer they belong to.
 type acceptManager struct {
-	ln      net.Listener
-	n       int
-	timeout time.Duration
+	n int
 
 	mu    sync.Mutex
 	peers map[sim.PartyID]*hostPeer // set once the accept phase completes
@@ -806,76 +930,45 @@ type acceptManager struct {
 	helloCh chan helloConn
 }
 
-func newAcceptManager(ln net.Listener, n int, cfg SessionConfig) *acceptManager {
-	return &acceptManager{ln: ln, n: n, timeout: cfg.RoundTimeout, helloCh: make(chan helloConn, 4*n)}
-}
-
-// run accepts connections until the listener closes.
-func (am *acceptManager) run() {
-	for {
-		conn, err := am.ln.Accept()
-		if err != nil {
-			return
-		}
-		go am.handle(conn)
-	}
-}
-
-func (am *acceptManager) handle(conn net.Conn) {
-	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-	var f frame
-	if err := readFrame(conn, dec, am.timeout, &f); err != nil {
+func (am *acceptManager) hello(f frame, conn net.Conn, enc *gob.Encoder, dec *gob.Decoder) {
+	if f.ID < 1 || f.ID > am.n {
 		_ = conn.Close()
 		return
 	}
-	switch f.Kind {
-	case kindHello:
-		if f.ID < 1 || f.ID > am.n {
-			_ = conn.Close()
-			return
-		}
-		select {
-		case am.helloCh <- helloConn{id: sim.PartyID(f.ID), conn: conn, enc: enc, dec: dec}:
-		default:
-			_ = conn.Close() // accept phase over
-		}
-	case kindResume:
-		am.mu.Lock()
-		p := am.peers[sim.PartyID(f.ID)]
-		am.mu.Unlock()
-		if p == nil || f.Token != p.token {
-			_ = conn.Close()
-			return
-		}
-		p.handleResume(conn, enc, dec, f.Ack)
+	select {
+	case am.helloCh <- helloConn{id: sim.PartyID(f.ID), conn: conn, enc: enc, dec: dec}:
 	default:
-		_ = conn.Close()
+		_ = conn.Close() // accept phase over
 	}
 }
 
-// acceptPhase collects the n party hellos within cfg.AcceptTimeout,
+func (am *acceptManager) lookup(id int) *endpoint {
+	am.mu.Lock()
+	defer am.mu.Unlock()
+	if p := am.peers[sim.PartyID(id)]; p != nil {
+		return p.endpoint
+	}
+	return nil
+}
+
+// acceptPhase collects the n party hellos within acceptTimeout,
 // answering each with a welcome carrying its session token. A client
 // whose welcome was lost redials and re-hellos; the fresh connection
 // replaces the stale one. On expiry the error names every party that
 // never completed the handshake.
-func (am *acceptManager) acceptPhase(seed int64, cfg SessionConfig) (map[sim.PartyID]*hostPeer, error) {
+func (am *acceptManager) acceptPhase(link StreamConfig, acceptTimeout time.Duration) (map[sim.PartyID]*hostPeer, error) {
 	peers := make(map[sim.PartyID]*hostPeer, am.n)
-	timer := time.NewTimer(cfg.AcceptTimeout)
+	timer := time.NewTimer(acceptTimeout)
 	defer timer.Stop()
 	for len(peers) < am.n {
 		select {
 		case h := <-am.helloCh:
 			p, dup := peers[h.id]
 			if !dup {
-				p = newHostPeer(h.id, sessionToken(seed, h.id), cfg)
+				p = &hostPeer{endpoint: newServerEnd(int(h.id), link)}
 				peers[h.id] = p
 			}
-			p.install(h.conn, h.enc, h.dec)
-			p.wmu.Lock()
-			if err := writeFrame(h.conn, h.enc, cfg.RoundTimeout, frame{Kind: kindWelcome, Token: p.token}); err != nil {
-				p.breakAll(causeOf(err)) // client will redial its hello
-			}
-			p.wmu.Unlock()
+			_ = p.welcome(h.conn, h.enc, h.dec, frame{Kind: kindWelcome, Token: p.token})
 		case <-timer.C:
 			var missing []int
 			for i := 1; i <= am.n; i++ {
@@ -885,7 +978,7 @@ func (am *acceptManager) acceptPhase(seed int64, cfg SessionConfig) (map[sim.Par
 			}
 			sort.Ints(missing)
 			return nil, fmt.Errorf("transport: accept phase timed out after %v: parties %v never connected",
-				cfg.AcceptTimeout, missing)
+				acceptTimeout, missing)
 		}
 	}
 	am.mu.Lock()
@@ -980,10 +1073,12 @@ func RunSessionReport(proto sim.Protocol, inputs []sim.Value, seed int64, cfg Se
 func hostSessionReport(ln net.Listener, proto sim.Protocol, inputs []sim.Value, seed int64, cfg SessionConfig) (*SessionReport, error) {
 	cfg = cfg.withDefaults()
 	n := proto.NumParties()
-	am := newAcceptManager(ln, n, cfg)
-	go am.run()
+	// Room for a few re-hellos per party (lost welcomes) during the
+	// accept phase; am.hello drops a hello that finds the buffer full.
+	am := &acceptManager{n: n, helloCh: make(chan helloConn, 4*n)}
+	go serveLinks(ln, cfg.RoundTimeout, am.hello, am.lookup)
 
-	peers, err := am.acceptPhase(seed, cfg)
+	peers, err := am.acceptPhase(cfg.link(seed), cfg.AcceptTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -1004,7 +1099,7 @@ func hostSessionReport(ln net.Listener, proto sim.Protocol, inputs []sim.Value, 
 		for i := 1; i <= n; i++ {
 			p := peers[sim.PartyID(i)]
 			p.mu.Lock()
-			fire := p.dead && !p.reported
+			fire := p.closed && !p.reported
 			round, cause := p.deadRound, p.deadCause
 			if fire {
 				p.reported = true
@@ -1099,7 +1194,7 @@ func (b *remoteBackend) StartParty(id sim.PartyID, input sim.Value, setupOut sim
 // the fail-stop after this step.
 func (b *remoteBackend) PartyRound(id sim.PartyID, round int, inbox []sim.Message) ([]sim.Message, error) {
 	p := b.peers[id]
-	if p.isDead() {
+	if p.isClosed() {
 		return nil, nil
 	}
 	inf := frame{Kind: kindInbox, Round: round}
@@ -1140,7 +1235,7 @@ func (b *remoteBackend) collectOutputs(totalRounds int) error {
 	for i := 1; i <= len(b.peers); i++ {
 		id := sim.PartyID(i)
 		p := b.peers[id]
-		if p.isDead() {
+		if p.isClosed() {
 			continue
 		}
 		of, err := p.recvHost()
@@ -1184,142 +1279,33 @@ func (b *remoteBackend) Machine(sim.PartyID) sim.Party { return nil }
 // audit state to the host.
 func (b *remoteBackend) AuditInfo(sim.PartyID) (sim.Value, bool) { return nil, false }
 
-// clientPeer is one party's reliable endpoint: it dials with bounded
-// retry, and on a broken connection redials and resumes with the
-// session token.
-type clientPeer struct {
-	endpoint
-	addr         string
-	id           sim.PartyID
-	token        uint64
-	dialTimeout  time.Duration
-	dialAttempts int
-	nParties     int
-}
-
-func newClientPeer(addr string, id sim.PartyID, nParties int, cfg SessionConfig) *clientPeer {
-	return &clientPeer{
-		endpoint: endpoint{
-			party:   int(id),
-			dir:     faultinject.DirClientToHost,
-			timeout: cfg.RoundTimeout,
-			fault:   cfg.Fault,
-			pending: make(map[uint64]frame),
-		},
-		addr:         addr,
-		id:           id,
-		dialTimeout:  cfg.DialTimeout,
-		dialAttempts: cfg.DialAttempts,
-		nParties:     nParties,
-	}
-}
-
-// dialRetry runs one handshake attempt per dial, with exponential
-// backoff between attempts.
-func (c *clientPeer) dialRetry(attempt func(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder) error) error {
-	backoff := 20 * time.Millisecond
-	var lastErr error
-	for i := 0; i < c.dialAttempts; i++ {
-		if i > 0 {
-			time.Sleep(backoff)
-			backoff *= 2
-		}
-		conn, err := net.DialTimeout("tcp", c.addr, c.dialTimeout)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if err := attempt(conn, gob.NewEncoder(conn), gob.NewDecoder(conn)); err != nil {
-			_ = conn.Close()
-			lastErr = err
-			continue
-		}
-		return nil
-	}
-	return fmt.Errorf("dial %s after %d attempts: %w", c.addr, c.dialAttempts, lastErr)
-}
-
-// connect performs the initial hello/welcome handshake.
-func (c *clientPeer) connect() error {
-	return c.dialRetry(func(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder) error {
-		if err := writeFrame(conn, enc, c.timeout, frame{Kind: kindHello, ID: int(c.id)}); err != nil {
-			return err
-		}
-		var w frame
-		if err := readFrame(conn, dec, c.timeout, &w); err != nil {
-			return err
-		}
-		if w.Kind != kindWelcome {
-			return fmt.Errorf("expected welcome frame, got %v", w.Kind)
-		}
-		c.token = w.Token
-		c.install(conn, enc, dec)
-		return nil
-	})
-}
-
-// recover is the client's recovery step for recvReliable: redial, send
-// a resume with our cumulative ack, adopt the host's ack, and replay
-// our unacknowledged outbox.
-func (c *clientPeer) recover(deadline time.Time) error {
-	return c.dialRetry(func(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder) error {
-		if time.Now().After(deadline) {
-			return errBudget
-		}
-		rf := frame{Kind: kindResume, ID: int(c.id), Token: c.token, Ack: c.ackSeq()}
-		if err := writeFrame(conn, enc, c.timeout, rf); err != nil {
-			return err
-		}
-		var ack frame
-		if err := readFrame(conn, dec, c.timeout, &ack); err != nil {
-			return err
-		}
-		if ack.Kind != kindResumeAck {
-			return fmt.Errorf("expected resume-ack frame, got %v", ack.Kind)
-		}
-		c.install(conn, enc, dec)
-		c.trimOutbox(ack.Ack)
-		replay := c.replayList()
-		c.wmu.Lock()
-		for _, f := range replay {
-			if writeFrame(conn, enc, c.timeout, f) != nil {
-				break
-			}
-		}
-		c.wmu.Unlock()
-		return nil
-	})
-}
-
-// expect receives the next in-order frame and checks its kind (and
-// round, when nonzero). The budget scales with the party count: the
-// host heals peers one at a time, so a client may legitimately wait
-// through other peers' recoveries.
-func (c *clientPeer) expect(kind frameKind, round int) (frame, error) {
-	deadline := time.Now().Add(2 * time.Duration(c.nParties) * c.timeout)
-	f, err := c.recvReliable(deadline, c.recover)
-	if err != nil {
-		return frame{}, err
-	}
-	if f.Kind != kind || (round != 0 && f.Round != round) {
-		return frame{}, fmt.Errorf("expected %v/r%d frame, got %v/r%d", kind, round, f.Kind, f.Round)
-	}
-	return f, nil
-}
-
 // runClient is one party process: connect with bounded dial retry,
 // handshake, round loop, output — all over the reliable frame layer, so
 // transient connection faults heal transparently. It returns ErrKilled
 // when the fault injector crashes the party.
 func runClient(addr string, proto sim.Protocol, id sim.PartyID, input sim.Value, cfg SessionConfig) error {
 	cfg = cfg.withDefaults()
-	c := newClientPeer(addr, id, proto.NumParties(), cfg)
-	if err := c.connect(); err != nil {
+	c := newClientEnd(addr, int(id), cfg.link(0))
+	if err := c.hello(); err != nil {
 		return err
 	}
 	defer c.close()
+	// expect receives the next in-order frame and checks its kind (and
+	// round, when nonzero). The budget scales with the party count: the
+	// host heals peers one at a time, so a client may legitimately wait
+	// through other peers' recoveries.
+	expect := func(kind frameKind, round int) (frame, error) {
+		f, err := c.recvReliable(time.Now().Add(2 * time.Duration(proto.NumParties()) * cfg.RoundTimeout))
+		if err != nil {
+			return frame{}, err
+		}
+		if f.Kind != kind || (round != 0 && f.Round != round) {
+			return frame{}, fmt.Errorf("expected %v/r%d frame, got %v/r%d", kind, round, f.Kind, f.Round)
+		}
+		return f, nil
+	}
 
-	sf, err := c.expect(kindSetup, 0)
+	sf, err := expect(kindSetup, 0)
 	if err != nil {
 		return fmt.Errorf("setup: %w", err)
 	}
@@ -1338,7 +1324,7 @@ func runClient(addr string, proto sim.Protocol, id sim.PartyID, input sim.Value,
 
 	totalRounds := proto.NumRounds() + 1
 	for r := 1; r <= totalRounds; r++ {
-		inf, err := c.expect(kindInbox, r)
+		inf, err := expect(kindInbox, r)
 		if err != nil {
 			return fmt.Errorf("round %d inbox: %w", r, err)
 		}
@@ -1382,7 +1368,7 @@ func runClient(addr string, proto sim.Protocol, id sim.PartyID, input sim.Value,
 	}
 	// Stay connected until the host acknowledges the output: a dropped
 	// output frame heals via resume replay only while we are reachable.
-	if _, err := c.expect(kindBye, 0); err != nil {
+	if _, err := expect(kindBye, 0); err != nil {
 		return fmt.Errorf("bye: %w", err)
 	}
 	return nil
